@@ -14,7 +14,16 @@
 /// Two interchangeable backends:
 ///  * Backend::Std   — std::mutex + std::condition_variable.
 ///  * Backend::Futex — raw Linux futexes (Drepper-style mutex, sequence-
-///                     counter condition variable).
+///                     counter condition variable) that spin, then park:
+///                     a contended lock spins on the unlocked state and a
+///                     condition wait spins on the sequence counter, each
+///                     for a bounded, per-object adaptive time (none on a
+///                     single CPU), before sleeping in the kernel. Parked
+///                     condition waiters are counted, so a signal with
+///                     nobody parked makes no wake syscall. A thread
+///                     re-locking the mutex it released last briefly
+///                     defers to a thread already on its way to it (a
+///                     spinner, or a waiter whose spin a signal ended).
 ///
 /// Spurious wakeups are permitted by both backends; all users wait in
 /// predicate-re-checking loops, exactly as the paper's monitors do.
