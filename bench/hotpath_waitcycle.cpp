@@ -23,6 +23,15 @@
 //    such wait is a genuinely new predicate, so registration cost is
 //    inherent — but the planned path interns only the canonical atom
 //    while the uncached pipeline also interns the globalized raw tree.
+//  * setup — a fresh monitor plus the first call of each of its predicate
+//    shapes, then its destruction, with a 3 ms gap between reps (so each
+//    rep starts from cold caches, as a monitor created mid-run would).
+//    Reported per problem (BoundedBuffer, RoundRobin, ParamBoundedBuffer)
+//    x mechanism (AutoSynch, AutoSynch-T, explicit) as the median ns and
+//    heap allocations per set-up, and the plans each set-up built vs
+//    imported from the process-wide plan registry. Only the first set-up
+//    of a shape in the process may build; the binary asserts that every
+//    later one imports all of its plans.
 //
 // Allocation metrics: `heap_allocs_per_op` counts every operator-new in
 // the process during the measured section (interposed below);
@@ -36,7 +45,11 @@
 #include "FigureBench.h"
 #include "core/Monitor.h"
 #include "plan/PlanCache.h"
+#include "problems/BoundedBuffer.h"
+#include "problems/ParamBoundedBuffer.h"
+#include "problems/RoundRobin.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -194,6 +207,11 @@ struct Cell {
   uint64_t PlanColdBinds = 0;
   uint64_t Registrations = 0;
   uint64_t ArenaNodes = 0;
+  /// Plan-cache misses per op, split into local builds and registry
+  /// imports (nonzero only in the setup scenario; the other scenarios
+  /// measure steady state, where every lookup hits).
+  double ShapeBuildsPerOp = 0.0;
+  double ShapeImportsPerOp = 0.0;
 };
 
 Cell runCycle(Mechanism Mech, sync::Backend Backend, bool Plans,
@@ -379,6 +397,86 @@ Cell runGlobalizeSweep(bool Plans, int64_t Ops, int Reps) {
   return C;
 }
 
+/// The problems the setup scenario constructs.
+enum class SetupProblem { BoundedBuffer, RoundRobin, ParamBoundedBuffer };
+
+const char *setupProblemName(SetupProblem P) {
+  switch (P) {
+  case SetupProblem::BoundedBuffer:
+    return "setup/BoundedBuffer";
+  case SetupProblem::RoundRobin:
+    return "setup/RoundRobin";
+  case SetupProblem::ParamBoundedBuffer:
+    return "setup/ParamBoundedBuffer";
+  }
+  return "setup";
+}
+
+/// One set-up: a fresh monitor, the first (non-blocking) call of each of
+/// its predicate shapes, and its destruction.
+void setupOnce(SetupProblem P, Mechanism Mech) {
+  const sync::Backend B = sync::Backend::Std;
+  switch (P) {
+  case SetupProblem::BoundedBuffer: {
+    auto M = makeBoundedBuffer(Mech, 4, B);
+    M->put(1);
+    M->take();
+    return;
+  }
+  case SetupProblem::RoundRobin:
+    makeRoundRobin(Mech, 4, B)->access(0);
+    return;
+  case SetupProblem::ParamBoundedBuffer: {
+    auto M = makeParamBoundedBuffer(Mech, 64, B);
+    M->put(5);
+    M->take(5);
+    return;
+  }
+  }
+}
+
+Cell runSetup(SetupProblem P, Mechanism Mech, int Reps) {
+  Cell C;
+  C.Scenario = setupProblemName(P);
+  C.Mech = Mech;
+  C.Ops = Reps;
+
+  std::vector<double> Ns, Allocs;
+  uint64_t Builds = 0, Imports = 0;
+  for (int Rep = 0; Rep != Reps; ++Rep) {
+    PlanCountersSnapshot P0 = PlanCounters::global().snapshot();
+    uint64_t Heap0 = heapAllocs();
+    double T0 = nowSeconds();
+    setupOnce(P, Mech);
+    double Seconds = nowSeconds() - T0;
+    uint64_t HeapDelta = heapAllocs() - Heap0;
+    PlanCountersSnapshot D = PlanCounters::global().snapshot() - P0;
+
+    uint64_t Built = D.ShapeBuilds - D.ShapeImports;
+    // The first set-up in the process may plan its shapes; every later
+    // one must find them all in the plan registry.
+    AUTOSYNCH_CHECK(Rep == 0 || Built == 0,
+                    "a repeated set-up must import every plan");
+    AUTOSYNCH_CHECK(Rep == 0 || !isAutomatic(Mech) || D.ShapeImports > 0,
+                    "an automatic monitor's set-up must import its plans");
+    Ns.push_back(Seconds * 1e9);
+    Allocs.push_back(static_cast<double>(HeapDelta));
+    Builds += Built;
+    Imports += D.ShapeImports;
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  }
+
+  auto Median = [](std::vector<double> V) {
+    std::sort(V.begin(), V.end());
+    return V[V.size() / 2];
+  };
+  C.NsPerOp = Median(Ns);
+  C.HeapAllocsPerOp = Median(Allocs);
+  C.ShapeBuildsPerOp = static_cast<double>(Builds) / Reps;
+  C.ShapeImportsPerOp = static_cast<double>(Imports) / Reps;
+  return C;
+}
+
 //===----------------------------------------------------------------------===//
 // JSON output
 //===----------------------------------------------------------------------===//
@@ -403,7 +501,9 @@ void writeJson(const std::vector<Cell> &Cells, const std::string &Path) {
        << ", \"arena_nodes_per_op\": " << C.ArenaNodesPerOp
        << ", \"signals\": " << C.Signals << ", \"waits\": " << C.Waits
        << ", \"plan_bind_hits\": " << C.PlanBindHits
-       << ", \"plan_cold_binds\": " << C.PlanColdBinds << "}"
+       << ", \"plan_cold_binds\": " << C.PlanColdBinds
+       << ", \"shape_builds_per_op\": " << C.ShapeBuildsPerOp
+       << ", \"shape_imports_per_op\": " << C.ShapeImportsPerOp << "}"
        << (I + 1 == Cells.size() ? "\n" : ",\n");
   }
   OS << "  ]\n}\n";
@@ -428,8 +528,9 @@ int main(int Argc, char **Argv) {
   }
 
   BenchOptions Opts = BenchOptions::fromEnv();
-  banner("Hot path - steady-state waituntil cycle",
-         "token handoff ns/op and allocations/op, plan cache on vs off",
+  banner("Hot path - steady-state waituntil cycle and monitor set-up",
+         "token handoff ns/op and allocations/op, plan cache on vs off; "
+         "set-up cost with plans imported from the registry",
          Opts);
 
   const int64_t Handoffs = Opts.scaled(100000) & ~int64_t(1);
@@ -437,13 +538,16 @@ int main(int Argc, char **Argv) {
 
   std::vector<Cell> Cells;
   Table T({"scenario", "mechanism", "backend", "plan", "ns/op",
-           "heap-allocs/op", "arena-nodes/op"});
+           "heap-allocs/op", "arena-nodes/op", "plan-builds/op",
+           "plan-imports/op"});
   auto Record = [&](Cell C) {
     T.addRow({C.Scenario, mechanismName(C.Mech),
               sync::backendName(C.Backend), C.PlanCache ? "on" : "off",
               std::to_string(static_cast<int64_t>(C.NsPerOp)),
               std::to_string(C.HeapAllocsPerOp),
-              std::to_string(C.ArenaNodesPerOp)});
+              std::to_string(C.ArenaNodesPerOp),
+              std::to_string(C.ShapeBuildsPerOp),
+              std::to_string(C.ShapeImportsPerOp)});
     Cells.push_back(std::move(C));
   };
 
@@ -477,6 +581,15 @@ int main(int Argc, char **Argv) {
   }
   Record(std::move(SweepOn));
   Record(std::move(SweepOff));
+
+  // Medians over many reps: a set-up is short and single-threaded, so
+  // one rep is noise-dominated.
+  const int SetupReps = 10 * Opts.Reps + 1;
+  for (SetupProblem P : {SetupProblem::BoundedBuffer, SetupProblem::RoundRobin,
+                         SetupProblem::ParamBoundedBuffer})
+    for (Mechanism Mech :
+         {Mechanism::AutoSynch, Mechanism::AutoSynchT, Mechanism::Explicit})
+      Record(runSetup(P, Mech, SetupReps));
 
   T.print();
   writeJson(Cells, JsonPath);

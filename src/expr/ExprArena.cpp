@@ -60,6 +60,7 @@ size_t ExprNodeContentHash::operator()(const ExprNode *N) const {
     H *= 0x100000001b3ULL;
   };
   Mix(static_cast<uint64_t>(N->Kind));
+  Mix(static_cast<uint64_t>(N->Ty));
   Mix(static_cast<uint64_t>(N->Payload));
   for (unsigned I = 0; I != N->NumOps; ++I)
     Mix(reinterpret_cast<uintptr_t>(N->Ops[I]));
@@ -68,7 +69,10 @@ size_t ExprNodeContentHash::operator()(const ExprNode *N) const {
 
 bool ExprNodeContentEq::operator()(const ExprNode *A,
                                    const ExprNode *B) const {
-  if (A->Kind != B->Kind || A->Payload != B->Payload ||
+  // The type matters for variables only: one arena may hold expressions
+  // over several symbol tables (the plan registry's does), where a VarId
+  // can name an int in one table and a bool in another.
+  if (A->Kind != B->Kind || A->Ty != B->Ty || A->Payload != B->Payload ||
       A->NumOps != B->NumOps)
     return false;
   for (unsigned I = 0; I != A->NumOps; ++I)

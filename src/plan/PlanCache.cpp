@@ -8,8 +8,9 @@
 #include "plan/PlanCache.h"
 
 #include "expr/Subst.h"
+#include "plan/PlanRegistry.h"
 
-#include <string>
+#include <string_view>
 
 using namespace autosynch;
 
@@ -19,15 +20,20 @@ PlanCounters &PlanCounters::global() {
 }
 
 VarId PlanCache::slotVar(size_t I, TypeKind Ty) {
-  std::vector<VarId> &Vars =
-      Ty == TypeKind::Int ? IntSlotVars : BoolSlotVars;
-  while (Vars.size() <= I) {
-    // '$' cannot appear in parsed identifiers, so slot names can never
-    // collide with user variables.
-    std::string Name = (Ty == TypeKind::Int ? "$i" : "$b") +
-                       std::to_string(Vars.size());
-    Vars.push_back(Syms.declare(Name, Ty, VarScope::Local));
-  }
+  // '$' cannot appear in parsed identifiers, so slot names can never
+  // collide with user variables.
+  static constexpr std::string_view IntNames[WaitPlan::MaxSlots] = {
+      "$i0", "$i1", "$i2",  "$i3",  "$i4",  "$i5",  "$i6",  "$i7",
+      "$i8", "$i9", "$i10", "$i11", "$i12", "$i13", "$i14", "$i15"};
+  static constexpr std::string_view BoolNames[WaitPlan::MaxSlots] = {
+      "$b0", "$b1", "$b2",  "$b3",  "$b4",  "$b5",  "$b6",  "$b7",
+      "$b8", "$b9", "$b10", "$b11", "$b12", "$b13", "$b14", "$b15"};
+  AUTOSYNCH_CHECK(I < WaitPlan::MaxSlots, "slot index beyond MaxSlots");
+  const bool IsInt = Ty == TypeKind::Int;
+  std::vector<VarId> &Vars = IsInt ? IntSlotVars : BoolSlotVars;
+  while (Vars.size() <= I)
+    Vars.push_back(Syms.declare((IsInt ? IntNames : BoolNames)[Vars.size()],
+                                Ty, VarScope::Local));
   return Vars[I];
 }
 
@@ -41,7 +47,19 @@ const WaitPlan *PlanCache::lookupOrBuild(ExprRef Shape,
   }
   ++Stats.ShapeBuilds;
   PlanCounters::global().onShapeBuild();
-  std::unique_ptr<WaitPlan> P = WaitPlan::build(Arena, Syms, Shape, Limits);
+  // A miss here: import the blueprint another monitor exported, else
+  // build and export one (lock order: monitor lock -> registry mutex).
+  PlanRegistry &Registry = PlanRegistry::global();
+  std::string Key = PlanRegistry::keyOf(Shape, Syms, Limits);
+  std::unique_ptr<WaitPlan> P = Registry.import(Key, Arena);
+  if (P) {
+    ++Stats.ShapeImports;
+    PlanCounters::global().onShapeImport();
+  } else {
+    P = WaitPlan::build(Arena, Syms, Shape, Limits);
+    Registry.publish(std::move(Key), *P, Syms, Limits);
+  }
+  AUTOSYNCH_CHECK(P->shape() == Shape, "imported plan is for another shape");
   if (P->kind() == WaitPlan::Kind::Legacy)
     ++Stats.LegacyShapes;
   return Plans.emplace(Shape, std::move(P)).first->second.get();

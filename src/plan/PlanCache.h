@@ -21,6 +21,19 @@
 /// The cache is append-only like the parse cache: distinct shapes are
 /// bounded by distinct waituntil call sites, not by data.
 ///
+/// What is per monitor and what is per process: the cache, and every plan
+/// in it, belongs to one monitor — plans point into that monitor's arena,
+/// and a hit (the steady state) touches nothing else. A miss consults the
+/// process-wide PlanRegistry (plan/PlanRegistry.h) before planning: the
+/// shape's key (structure, variable ids/names/types/scopes, DnfLimits)
+/// finds the blueprint an earlier monitor exported, which is relocated
+/// into this monitor's arena; only a shape new to the process is built
+/// (and then exported, while the registry is below its entry cap of
+/// PlanRegistry::MaxEntries = 1024 blueprints, about 1-4 MB for shapes the
+/// size of the paper's). The registry's mutex is taken with the monitor
+/// lock held, never the reverse. PlanCacheStats::ShapeBuilds counts every
+/// miss; ShapeImports, the misses a blueprint served.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef AUTOSYNCH_PLAN_PLANCACHE_H
@@ -35,24 +48,26 @@ namespace autosynch {
 
 /// Per-monitor plan-cache statistics (guarded by the monitor lock).
 struct PlanCacheStats {
-  uint64_t ShapeBuilds = 0;   ///< Plans constructed.
+  uint64_t ShapeBuilds = 0;   ///< Cache misses (built or imported plans).
   uint64_t ShapeHits = 0;     ///< Lookups served by a cached plan.
   uint64_t EdslSkeletons = 0; ///< EDSL predicates abstracted into shapes.
   uint64_t LegacyShapes = 0;  ///< Shapes the planner handed back as Legacy.
+  uint64_t ShapeImports = 0;  ///< Misses served by a registry blueprint.
 };
 
 /// Snapshot of the process-wide plan counters (workbench/bench reporting).
 struct PlanCountersSnapshot {
-  uint64_t ShapeBuilds = 0;
+  uint64_t ShapeBuilds = 0; ///< Per-monitor plan-cache misses.
   uint64_t ShapeHits = 0;
   uint64_t BindHits = 0;   ///< Signature lookups served by the bind table.
   uint64_t ColdBinds = 0;  ///< Signatures resolved through the cold path.
   uint64_t LegacyWaits = 0;///< waituntil calls on the uncached path.
+  uint64_t ShapeImports = 0;///< ShapeBuilds served by a registry blueprint.
 
   PlanCountersSnapshot operator-(const PlanCountersSnapshot &R) const {
     return {ShapeBuilds - R.ShapeBuilds, ShapeHits - R.ShapeHits,
-            BindHits - R.BindHits, ColdBinds - R.ColdBinds,
-            LegacyWaits - R.LegacyWaits};
+            BindHits - R.BindHits,       ColdBinds - R.ColdBinds,
+            LegacyWaits - R.LegacyWaits, ShapeImports - R.ShapeImports};
   }
 };
 
@@ -68,13 +83,17 @@ public:
   void onBindHit() { BindHits.fetch_add(1, std::memory_order_relaxed); }
   void onColdBind() { ColdBinds.fetch_add(1, std::memory_order_relaxed); }
   void onLegacyWait() { LegacyWaits.fetch_add(1, std::memory_order_relaxed); }
+  void onShapeImport() {
+    ShapeImports.fetch_add(1, std::memory_order_relaxed);
+  }
 
   PlanCountersSnapshot snapshot() const {
     return {ShapeBuilds.load(std::memory_order_relaxed),
             ShapeHits.load(std::memory_order_relaxed),
             BindHits.load(std::memory_order_relaxed),
             ColdBinds.load(std::memory_order_relaxed),
-            LegacyWaits.load(std::memory_order_relaxed)};
+            LegacyWaits.load(std::memory_order_relaxed),
+            ShapeImports.load(std::memory_order_relaxed)};
   }
 
 private:
@@ -83,6 +102,7 @@ private:
   std::atomic<uint64_t> BindHits{0};
   std::atomic<uint64_t> ColdBinds{0};
   std::atomic<uint64_t> LegacyWaits{0};
+  std::atomic<uint64_t> ShapeImports{0};
 };
 
 /// The per-monitor shape -> WaitPlan cache. All member functions require

@@ -47,6 +47,25 @@ void census(ExprRef E, const SymbolTable &Syms, ScopeCensus &Out) {
     census(E->operand(I), Syms, Out);
 }
 
+/// \p E interned in \p To. Nodes of an arena are already folded, so
+/// rebuilding one through the folding constructors yields the same shape.
+ExprRef reintern(ExprArena &To, ExprRef E) {
+  switch (E->kind()) {
+  case ExprKind::IntLit:
+    return To.intLit(E->intValue());
+  case ExprKind::BoolLit:
+    return To.boolLit(E->boolValue());
+  case ExprKind::Var:
+    return To.var(E->varId(), E->type());
+  default:
+    break;
+  }
+  if (E->numOperands() == 1)
+    return To.unary(E->kind(), reintern(To, E->lhs()));
+  return To.binary(E->kind(), reintern(To, E->lhs()),
+                   reintern(To, E->rhs()));
+}
+
 bool sigEntryLess(const SigEntry &A, const SigEntry &B) {
   if (A.P != B.P)
     return A.P < B.P;
@@ -380,6 +399,25 @@ std::unique_ptr<WaitPlan> WaitPlan::build(ExprArena &Arena,
 
   P->K = Kind::Slotted;
   P->Code = CompiledPredicate::compile(P->CP.Expr, Resolver);
+  return P;
+}
+
+std::unique_ptr<WaitPlan> WaitPlan::relocate(ExprArena &To) const {
+  std::unique_ptr<WaitPlan> P(new WaitPlan(*this));
+  auto Move = [&To](ExprRef &E) {
+    if (E)
+      E = reintern(To, E);
+  };
+  Move(P->Shape);
+  Move(P->CP.Expr);
+  for (Conjunction &C : P->CP.D.Conjs)
+    for (ExprRef &Atom : C.Atoms)
+      Move(Atom);
+  for (ConjTemplate &CT : P->Conjs)
+    for (AtomTemplate &T : CT.Atoms) {
+      Move(T.Atom);
+      Move(T.SharedExpr);
+    }
   return P;
 }
 

@@ -39,6 +39,14 @@
 /// canonicalizer applies after substitution), so plans are semantically
 /// transparent.
 ///
+/// A plan is per monitor: its expressions are interned in the monitor's
+/// arena, so pointer comparisons (signature entries, canonical-table
+/// keys) hold within that monitor. What is per process is the *analysis*:
+/// the plan registry (plan/PlanRegistry.h) keeps one copy of each shape's
+/// plan in its own arena, and relocate() turns it into the plan a fresh
+/// monitor would have built — re-interning the expressions, copying the
+/// value parts (kind, slots, key forms, read set, bytecode) verbatim.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef AUTOSYNCH_PLAN_WAITPLAN_H
@@ -153,6 +161,14 @@ public:
   /// Rebuilds the ground DNF a signature denotes (cold path: the result is
   /// re-canonicalized by the caller to unify with the predicate table).
   static Dnf reconstruct(ExprArena &Arena, const SigEntry *Sig, size_t N);
+
+  /// A copy of this plan over the same symbol table whose expressions are
+  /// interned in \p To: the shape, the canonical form and the templates'
+  /// atoms and shared expressions are re-interned; everything else (kind,
+  /// slots, key forms, read set, bytecode) is copied verbatim. Because
+  /// interning is by content, relocating into the arena a plan would have
+  /// been built in yields exactly that plan, pointer for pointer.
+  std::unique_ptr<WaitPlan> relocate(ExprArena &To) const;
 
 private:
   WaitPlan() = default;

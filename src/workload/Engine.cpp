@@ -447,6 +447,7 @@ void workload::writeReportJson(const ScenarioReport &R, JsonWriter &J) {
   J.key("plan_cache");
   J.beginObject()
       .member("shape_builds", R.Plan.ShapeBuilds)
+      .member("shape_imports", R.Plan.ShapeImports)
       .member("shape_hits", R.Plan.ShapeHits)
       .member("bind_hits", R.Plan.BindHits)
       .member("cold_binds", R.Plan.ColdBinds)

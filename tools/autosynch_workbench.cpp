@@ -393,7 +393,9 @@ int main(int Argc, char **Argv) {
     // Every relay-policy (automatic, non-broadcast) run must have served
     // its waituntil calls through the plan cache: no uncached-pipeline
     // waits, and the cache actually consulted. Broadcast and Explicit
-    // runs have no plan path by design.
+    // runs have no plan path by design. Shape misses are reported split
+    // into local builds and registry imports.
+    uint64_t Misses = 0, Imports = 0;
     for (const ScenarioReport &R : Reports) {
       if (R.Mech != Mechanism::AutoSynch && R.Mech != Mechanism::AutoSynchT)
         continue;
@@ -402,16 +404,24 @@ int main(int Argc, char **Argv) {
       if (R.Plan.LegacyWaits != 0 || Consulted == 0) {
         std::fprintf(stderr,
                      "%s: plan-cache assertion failed for %s/%s: "
-                     "legacy_waits=%llu consulted=%llu\n",
+                     "legacy_waits=%llu consulted=%llu shape_builds=%llu "
+                     "shape_imports=%llu\n",
                      Argv[0], mechanismName(R.Mech),
                      sync::backendName(R.Backend),
                      static_cast<unsigned long long>(R.Plan.LegacyWaits),
-                     static_cast<unsigned long long>(Consulted));
+                     static_cast<unsigned long long>(Consulted),
+                     static_cast<unsigned long long>(R.Plan.ShapeBuilds),
+                     static_cast<unsigned long long>(R.Plan.ShapeImports));
         return 1;
       }
+      Misses += R.Plan.ShapeBuilds;
+      Imports += R.Plan.ShapeImports;
     }
     if (HumanOutput)
-      std::printf("# plan-cache assertion: ok\n");
+      std::printf("# plan-cache assertion: ok (shape misses %llu, of which "
+                  "registry imports %llu)\n",
+                  static_cast<unsigned long long>(Misses),
+                  static_cast<unsigned long long>(Imports));
   }
 
   if (AssertRelaySkips) {
