@@ -12,17 +12,15 @@
 //  * cycle — two threads hand a token through `turn == me` (the canonical
 //    wait/signal cycle: every handoff is one directed signal issued after
 //    the monitor unlock). Local values recur, so a plan-cache hit must be
-//    completely allocation-free. Reported per mechanism x backend x
-//    plan-cache.
+//    completely allocation-free. Reported per mechanism x backend.
 //  * fastpath-sweep — one thread calls waitUntil("count >= n") with a
 //    fresh n every call while the predicate is already true: the pure
-//    check cost (bind-and-evaluate vs. parse-cache + tree walk).
+//    bind-and-check cost.
 //  * globalize-sweep — a strict producer/consumer handshake where every
 //    blocking wait carries a never-repeating local value through the
 //    paper's flagship complex predicate `count + n <= cap` (§4.1). Each
 //    such wait is a genuinely new predicate, so registration cost is
-//    inherent — but the planned path interns only the canonical atom
-//    while the uncached pipeline also interns the globalized raw tree.
+//    inherent: a cold bind interns the canonical atom.
 //  * setup — a fresh monitor plus the first call of each of its predicate
 //    shapes, then its destruction, with a 3 ms gap between reps (so each
 //    rep starts from cold caches, as a monitor created mid-run would).
@@ -35,10 +33,10 @@
 //
 // Allocation metrics: `heap_allocs_per_op` counts every operator-new in
 // the process during the measured section (interposed below);
-// `arena_nodes_per_op` counts expression-arena internings. The properties
-// the acceptance bar names are asserted, not just reported, so the CI
-// smoke run enforces them: a plan hit interns nothing, and the uncached
-// sweep interns at least twice what the planned sweep does.
+// `arena_nodes_per_op` counts expression-arena internings. The hot-path
+// properties are asserted, not just reported, so the CI smoke run
+// enforces them: a steady-state cycle interns nothing, and every set-up
+// after the first imports all of its plans.
 //
 //===----------------------------------------------------------------------===//
 
@@ -196,7 +194,6 @@ struct Cell {
   std::string Scenario;
   Mechanism Mech = Mechanism::AutoSynch;
   sync::Backend Backend = sync::Backend::Std;
-  bool PlanCache = true;
   int64_t Ops = 0;
   double NsPerOp = 0.0;
   double HeapAllocsPerOp = 0.0;
@@ -205,8 +202,6 @@ struct Cell {
   uint64_t Waits = 0;
   uint64_t PlanBindHits = 0;
   uint64_t PlanColdBinds = 0;
-  uint64_t Registrations = 0;
-  uint64_t ArenaNodes = 0;
   /// Plan-cache misses per op, split into local builds and registry
   /// imports (nonzero only in the setup scenario; the other scenarios
   /// measure steady state, where every lookup hits).
@@ -214,19 +209,17 @@ struct Cell {
   double ShapeImportsPerOp = 0.0;
 };
 
-Cell runCycle(Mechanism Mech, sync::Backend Backend, bool Plans,
-              int64_t Handoffs, int Reps) {
+Cell runCycle(Mechanism Mech, sync::Backend Backend, int64_t Handoffs,
+              int Reps) {
   Cell C;
   C.Scenario = "cycle";
   C.Mech = Mech;
   C.Backend = Backend;
-  C.PlanCache = Plans;
   C.Ops = Handoffs;
 
   double BestSeconds = -1.0;
   for (int Rep = 0; Rep != Reps; ++Rep) {
     MonitorConfig Cfg = configFor(Mech, Backend);
-    Cfg.UsePlanCache = Plans;
     PingPong M(Cfg);
 
     // Warm the parse cache, the plan shape, and both signatures so the
@@ -287,9 +280,9 @@ Cell runCycle(Mechanism Mech, sync::Backend Backend, bool Plans,
       C.PlanColdBinds = S.PlanColdBinds;
     }
 
-    if (Plans && isAutomatic(Mech) &&
-        Cfg.Policy != SignalPolicy::Broadcast) {
-      AUTOSYNCH_CHECK(M.conditionManager().stats().PlanBindHits > 0,
+    if (isAutomatic(Mech)) {
+      AUTOSYNCH_CHECK(Cfg.Policy == SignalPolicy::Broadcast ||
+                          M.conditionManager().stats().PlanBindHits > 0,
                       "steady-state cycle must hit the plan bind table");
       AUTOSYNCH_CHECK(NodesDelta == 0,
                       "plan-cache cycle hit path must not intern");
@@ -298,18 +291,16 @@ Cell runCycle(Mechanism Mech, sync::Backend Backend, bool Plans,
   return C;
 }
 
-Cell runFastpathSweep(bool Plans, int64_t Ops, int Reps) {
+Cell runFastpathSweep(int64_t Ops, int Reps) {
   Cell C;
   C.Scenario = "fastpath-sweep";
   C.Mech = Mechanism::AutoSynch;
   C.Backend = sync::Backend::Std;
-  C.PlanCache = Plans;
   C.Ops = Ops;
 
   double BestSeconds = -1.0;
   for (int Rep = 0; Rep != Reps; ++Rep) {
     MonitorConfig Cfg = configFor(Mechanism::AutoSynch, sync::Backend::Std);
-    Cfg.UsePlanCache = Plans;
     Sweeper M(Cfg, /*Ceiling=*/Ops + 2);
 
     M.probe(1); // Warm the parse cache and the plan shape.
@@ -325,24 +316,22 @@ Cell runFastpathSweep(bool Plans, int64_t Ops, int Reps) {
       C.NsPerOp = Seconds * 1e9 / static_cast<double>(Ops);
       C.HeapAllocsPerOp =
           static_cast<double>(HeapDelta) / static_cast<double>(Ops);
-      C.ArenaNodesPerOp = 0.0; // Neither path interns on the true-fast-path.
+      C.ArenaNodesPerOp = 0.0; // The already-true check interns nothing.
     }
   }
   return C;
 }
 
-Cell runGlobalizeSweep(bool Plans, int64_t Ops, int Reps) {
+Cell runGlobalizeSweep(int64_t Ops, int Reps) {
   Cell C;
   C.Scenario = "globalize-sweep";
   C.Mech = Mechanism::AutoSynch;
   C.Backend = sync::Backend::Std;
-  C.PlanCache = Plans;
   C.Ops = Ops;
 
   double BestSeconds = -1.0;
   for (int Rep = 0; Rep != Reps; ++Rep) {
     MonitorConfig Cfg = configFor(Mechanism::AutoSynch, sync::Backend::Std);
-    Cfg.UsePlanCache = Plans;
     // Every fill() predicate is brand new; an eviction limit keeps the
     // table (and the run) at steady state, the way a real server would.
     Cfg.InactiveCacheLimit = 256;
@@ -390,8 +379,6 @@ Cell runGlobalizeSweep(bool Plans, int64_t Ops, int Reps) {
       C.Waits = S.Waits;
       C.PlanBindHits = S.PlanBindHits;
       C.PlanColdBinds = S.PlanColdBinds;
-      C.Registrations = S.Registrations;
-      C.ArenaNodes = NodesDelta;
     }
   }
   return C;
@@ -488,14 +475,13 @@ void writeJson(const std::vector<Cell> &Cells, const std::string &Path) {
                  Path.c_str());
     std::exit(1);
   }
-  OS << "{\n  \"bench\": \"hotpath_waitcycle\",\n  \"schema\": 1,\n"
+  OS << "{\n  \"bench\": \"hotpath_waitcycle\",\n  \"schema\": 2,\n"
      << "  \"runs\": [\n";
   for (size_t I = 0; I != Cells.size(); ++I) {
     const Cell &C = Cells[I];
     OS << "    {\"scenario\": \"" << C.Scenario << "\", \"mechanism\": \""
        << mechanismName(C.Mech) << "\", \"backend\": \""
-       << sync::backendName(C.Backend) << "\", \"plan_cache\": "
-       << (C.PlanCache ? "true" : "false") << ", \"ops\": " << C.Ops
+       << sync::backendName(C.Backend) << "\", \"ops\": " << C.Ops
        << ", \"ns_per_op\": " << C.NsPerOp
        << ", \"heap_allocs_per_op\": " << C.HeapAllocsPerOp
        << ", \"arena_nodes_per_op\": " << C.ArenaNodesPerOp
@@ -529,7 +515,7 @@ int main(int Argc, char **Argv) {
 
   BenchOptions Opts = BenchOptions::fromEnv();
   banner("Hot path - steady-state waituntil cycle and monitor set-up",
-         "token handoff ns/op and allocations/op, plan cache on vs off; "
+         "token handoff ns/op and allocations/op per mechanism x backend; "
          "set-up cost with plans imported from the registry",
          Opts);
 
@@ -537,12 +523,12 @@ int main(int Argc, char **Argv) {
   const int64_t SweepOps = Opts.scaled(50000);
 
   std::vector<Cell> Cells;
-  Table T({"scenario", "mechanism", "backend", "plan", "ns/op",
+  Table T({"scenario", "mechanism", "backend", "ns/op",
            "heap-allocs/op", "arena-nodes/op", "plan-builds/op",
            "plan-imports/op"});
   auto Record = [&](Cell C) {
     T.addRow({C.Scenario, mechanismName(C.Mech),
-              sync::backendName(C.Backend), C.PlanCache ? "on" : "off",
+              sync::backendName(C.Backend),
               std::to_string(static_cast<int64_t>(C.NsPerOp)),
               std::to_string(C.HeapAllocsPerOp),
               std::to_string(C.ArenaNodesPerOp),
@@ -551,36 +537,12 @@ int main(int Argc, char **Argv) {
     Cells.push_back(std::move(C));
   };
 
-  for (sync::Backend B : {sync::Backend::Std, sync::Backend::Futex}) {
+  for (sync::Backend B : {sync::Backend::Std, sync::Backend::Futex})
     for (Mechanism Mech :
-         {Mechanism::AutoSynch, Mechanism::AutoSynchT, Mechanism::Baseline}) {
-      Record(runCycle(Mech, B, /*Plans=*/true, Handoffs, Opts.Reps));
-      if (Mech != Mechanism::Baseline) // Broadcast ignores the plan cache.
-        Record(runCycle(Mech, B, /*Plans=*/false, Handoffs, Opts.Reps));
-    }
-  }
-  Record(runFastpathSweep(/*Plans=*/true, SweepOps, Opts.Reps));
-  Record(runFastpathSweep(/*Plans=*/false, SweepOps, Opts.Reps));
-
-  Cell SweepOn = runGlobalizeSweep(/*Plans=*/true, SweepOps / 4, Opts.Reps);
-  Cell SweepOff =
-      runGlobalizeSweep(/*Plans=*/false, SweepOps / 4, Opts.Reps);
-  // The acceptance bar: >= 2x fewer arena internings per registering
-  // waituntil on the planned path, even when every bound value is fresh.
-  // Normalized per registration — how many waits block (vs. hit the
-  // already-true fast path, which interns nothing on either pipeline) is
-  // scheduling-dependent and differs between the two runs.
-  if (SweepOn.Registrations >= 8 && SweepOff.Registrations >= 8) {
-    double PerRegOn = static_cast<double>(SweepOn.ArenaNodes) /
-                      static_cast<double>(SweepOn.Registrations);
-    double PerRegOff = static_cast<double>(SweepOff.ArenaNodes) /
-                       static_cast<double>(SweepOff.Registrations);
-    AUTOSYNCH_CHECK(PerRegOff >= 2.0 * PerRegOn,
-                    "planned globalize-sweep must intern at most half of "
-                    "what the uncached pipeline interns per registration");
-  }
-  Record(std::move(SweepOn));
-  Record(std::move(SweepOff));
+         {Mechanism::AutoSynch, Mechanism::AutoSynchT, Mechanism::Baseline})
+      Record(runCycle(Mech, B, Handoffs, Opts.Reps));
+  Record(runFastpathSweep(SweepOps, Opts.Reps));
+  Record(runGlobalizeSweep(SweepOps / 4, Opts.Reps));
 
   // Medians over many reps: a set-up is short and single-threaded, so
   // one rep is noise-dominated.

@@ -92,9 +92,7 @@ void ConditionManager::flushRelayCounters() {
 bool ConditionManager::evalRecord(Record *R) const {
   // Slot programs read the monitor's shared state straight out of the
   // backing array — no virtual Env dispatch on the relay hot path.
-  if (R->Code.valid())
-    return R->Code.runRawBool(Slots.data(), nullptr);
-  return evalBool(R->Canonical, SharedEnv);
+  return R->Code.runRawBool(Slots.data(), nullptr);
 }
 
 uint64_t ConditionManager::readSetVersion(const VarSet &S) const {
@@ -159,13 +157,12 @@ ConditionManager::lookupOrRegister(ExprRef Canonical, Dnf D) {
   } else {
     R->Cond = MonitorLock.newCondition();
   }
-  if (Cfg.UseCompiledEval)
-    R->Code = CompiledPredicate::compile(
-        Canonical, [this](VarId V) -> ResolvedVar {
-          AUTOSYNCH_CHECK(Syms.isShared(V),
-                          "registered predicate mentions a local");
-          return {ResolvedVar::Kind::Shared, V};
-        });
+  R->Code = CompiledPredicate::compile(
+      Canonical, [this](VarId V) -> ResolvedVar {
+        AUTOSYNCH_CHECK(Syms.isShared(V),
+                        "registered predicate mentions a local");
+        return {ResolvedVar::Kind::Shared, V};
+      });
   Record *Raw = R.get();
   Table.emplace(Canonical, std::move(R));
   // Newly registered predicates start parked; activate() revives them when
@@ -412,9 +409,8 @@ void ConditionManager::relaySignal(DeferredWake *Defer) {
 // Waiting (paper Fig. 6)
 //===----------------------------------------------------------------------===//
 
-bool ConditionManager::awaitBroadcast(ExprRef Pred, const Env &Locals,
-                                      TimedWait *TW) {
-  OverlayEnv Combined(Locals, SharedEnv);
+bool ConditionManager::awaitBroadcast(const WaitPlan &Plan,
+                                      const Value *Bound, TimedWait *TW) {
   // Broadcast timed waits never register in the wheel: signalAll on every
   // exit already wakes them, and their bounded block is its own fallback
   // tick. The token still needs the registration handshake for a wake
@@ -426,7 +422,7 @@ bool ConditionManager::awaitBroadcast(ExprRef Pred, const Env &Locals,
                         // Timeouts <= TimedWaits holds for every policy.
   bool Waited = false;
   while (true) {
-    if (evalBool(Pred, Combined))
+    if (Plan.code().runRawBool(Slots.data(), Bound))
       return true; // Predicate-first, even past the deadline.
     if (TW) {
       if (Scope.cancelled()) {
@@ -574,77 +570,104 @@ bool ConditionManager::waitOnRecord(Record *R, TimedWait *TW) {
   return Satisfied;
 }
 
-bool ConditionManager::await(ExprRef Pred, const Env &Locals,
-                             TimedWait *TW) {
-  // Fast path: the condition already holds (Fig. 6 checks P first).
-  {
-    OverlayEnv Combined(Locals, SharedEnv);
-    if (evalBool(Pred, Combined))
-      return true;
-  }
-
-  if (Cfg.Policy == SignalPolicy::Broadcast)
-    return awaitBroadcast(Pred, Locals, TW);
-
-  // Globalization (§4.1): substitute the thread's locals so every other
-  // thread can evaluate the predicate on our behalf.
-  ExprRef G = isComplex(Pred, Syms) ? globalize(Arena, Pred, Syms, Locals)
-                                    : Pred;
-  CanonicalPredicate CP = canonicalizePredicate(Arena, G, Cfg.Limits);
-  if (CP.D.isTrue()) // Canonicalization may prove it (x >= x).
-    return true;
+ConditionManager::Record *ConditionManager::registerGround(ExprRef Pred) {
+  CanonicalPredicate CP = canonicalizePredicate(Arena, Pred, Cfg.Limits);
+  if (CP.D.isTrue())
+    return nullptr; // Canonicalization may prove it (x >= x).
   AUTOSYNCH_CHECK(!CP.D.isFalse(),
                   "waituntil on an unsatisfiable predicate would never "
                   "return");
-
-  return waitOnRecord(lookupOrRegister(CP.Expr, std::move(CP.D)), TW);
+  return lookupOrRegister(CP.Expr, std::move(CP.D));
 }
 
-bool ConditionManager::awaitGround(const WaitPlan &Plan, TimedWait *TW) {
-  AUTOSYNCH_CHECK(Plan.kind() == WaitPlan::Kind::Ground,
-                  "awaitGround requires a Ground plan");
-  // Steady state is a plain table hit; the plan's Dnf is copied only when
-  // the record actually has to be (re-)registered.
-  Record *R = lookupExisting(Plan.canonical().Expr);
-  if (!R)
-    R = lookupOrRegister(Plan.canonical().Expr, Plan.canonical().D);
-  return waitOnRecord(R, TW);
+ConditionManager::Record *
+ConditionManager::registerGlobalized(const WaitPlan &Plan,
+                                     const Value *Bound) {
+  // Globalization (§4.1): substitute the thread's locals so every other
+  // thread can evaluate the predicate on our behalf.
+  PlanCounters::global().onLegacyWait();
+  return registerGround(Plan.globalize(Arena, Bound));
 }
 
-bool ConditionManager::awaitBound(const SigEntry *Sig, size_t N,
-                                  TimedWait *TW) {
-  Record *R;
+ConditionManager::Record *ConditionManager::bindSignature(const SigEntry *Sig,
+                                                          size_t N) {
   auto It = BindTable.find(SigView{Sig, N});
   if (It != BindTable.end()) {
     // Steady state: the signature was seen before; no interning, no
     // allocation, no canonicalization.
-    R = It->second;
+    Record *R = It->second;
     ++Stats.PlanBindHits;
     PlanCounters::global().onBindHit();
     if (!R->Active)
       ++Stats.CacheReuses; // Revival parity with the table path.
-  } else {
-    // Cold: rebuild the ground predicate the signature denotes and unify
-    // it through the canonical table (it may already be registered via
-    // another shape, eager registration, or the uncached path), then
-    // remember the signature as an alias.
-    ++Stats.PlanColdBinds;
-    PlanCounters::global().onColdBind();
-    Dnf D0 = WaitPlan::reconstruct(Arena, Sig, N);
-    CanonicalPredicate CP =
-        canonicalizePredicate(Arena, dnfToExpr(Arena, D0), Cfg.Limits);
-    if (CP.D.isTrue())
-      return true; // Subsumption may prove the binding trivially true.
-    AUTOSYNCH_CHECK(!CP.D.isFalse(),
-                    "waituntil on an unsatisfiable predicate would never "
-                    "return");
-    R = lookupOrRegister(CP.Expr, std::move(CP.D));
-    SigKey Key;
-    Key.E.assign(Sig, Sig + N);
-    auto [Slot, Inserted] = BindTable.emplace(std::move(Key), R);
-    AUTOSYNCH_CHECK(Inserted, "cold bind raced an existing signature");
-    R->SigAliases.push_back(&Slot->first.E);
+    return R;
   }
+  // Cold: rebuild the ground predicate the signature denotes and unify
+  // it through the canonical table (it may already be registered via
+  // another shape, eager registration, or per-wait globalization), then
+  // remember the signature as an alias.
+  ++Stats.PlanColdBinds;
+  PlanCounters::global().onColdBind();
+  Record *R =
+      registerGround(dnfToExpr(Arena, WaitPlan::reconstruct(Arena, Sig, N)));
+  if (!R)
+    return nullptr; // Subsumption may prove the binding trivially true.
+  SigKey Key;
+  Key.E.assign(Sig, Sig + N);
+  auto [Slot, Inserted] = BindTable.emplace(std::move(Key), R);
+  AUTOSYNCH_CHECK(Inserted, "cold bind raced an existing signature");
+  R->SigAliases.push_back(&Slot->first.E);
+  return R;
+}
 
-  return waitOnRecord(R, TW);
+bool ConditionManager::await(const WaitPlan &Plan, const Value *Bound,
+                             TimedWait *TW) {
+  AUTOSYNCH_CHECK(Plan.kind() != WaitPlan::Kind::Unsatisfiable,
+                  "waituntil on an unsatisfiable predicate would never "
+                  "return");
+  if (Cfg.Policy == SignalPolicy::Broadcast)
+    return awaitBroadcast(Plan, Bound, TW);
+
+  Record *R = nullptr;
+  switch (Plan.kind()) {
+  case WaitPlan::Kind::Ground:
+    // Steady state is a plain table hit; the plan's Dnf is copied only
+    // when the record actually has to be (re-)registered.
+    R = lookupExisting(Plan.canonical().Expr);
+    if (!R)
+      R = lookupOrRegister(Plan.canonical().Expr, Plan.canonical().D);
+    break;
+  case WaitPlan::Kind::Slotted: {
+    SigEntry Sig[WaitPlan::MaxSigEntries];
+    size_t N = 0;
+    switch (Plan.resolve(Bound, Sig, N)) {
+    case WaitPlan::ResolveStatus::Resolved:
+      R = bindSignature(Sig, N);
+      break;
+    case WaitPlan::ResolveStatus::True:
+      // "True under any shared state" contradicts the caller's false
+      // check; resolution and code() derive from the same canonical form.
+      AUTOSYNCH_CHECK(false, "plan resolution diverged from evaluation");
+      break;
+    case WaitPlan::ResolveStatus::False:
+      AUTOSYNCH_CHECK(false, "waituntil on an unsatisfiable predicate would "
+                             "never return");
+      break;
+    case WaitPlan::ResolveStatus::Overflow:
+      // Key arithmetic left int64. Canonicalizing the globalized
+      // predicate stays exact: an atom whose constants overflow degrades
+      // to an untagged opaque one.
+      R = registerGlobalized(Plan, Bound);
+      break;
+    }
+    break;
+  }
+  case WaitPlan::Kind::Globalized:
+    R = registerGlobalized(Plan, Bound);
+    break;
+  case WaitPlan::Kind::AlwaysTrue:
+  case WaitPlan::Kind::Unsatisfiable:
+    break; // AlwaysTrue never gets here: code() is constant true.
+  }
+  return R ? waitOnRecord(R, TW) : true;
 }

@@ -57,8 +57,8 @@
 /// (the Monitor wrapper enforces this); the dirty set, version counters,
 /// and stamps are all guarded by that lock.
 ///
-/// Timed waits (the src/time/ deadline runtime): every await entry point
-/// takes an optional TimedWait carrying a monotonic deadline and an
+/// Timed waits (the src/time/ deadline runtime): await() takes an
+/// optional TimedWait carrying a monotonic deadline and an
 /// optional CancelToken. A blocked timed waiter registers in the
 /// per-manager timer wheel (its own lock shard; see time/TimerWheel.h) and
 /// blocks with a *bounded* condvar wait — the wait's own deadline is the
@@ -193,8 +193,9 @@ public:
 
   /// \p SharedEnv must resolve every Shared-scoped variable of \p Syms and
   /// reflect the monitor's current state on each call (the Monitor's slot
-  /// environment does); \p Slots is the raw backing array of the same
-  /// state, indexed by VarId, for the allocation-free compiled-eval path.
+  /// environment does; the tag index evaluates shared expressions over
+  /// it); \p Slots is the raw backing array of the same state, indexed by
+  /// VarId, which every compiled predicate check reads.
   /// All references must outlive the manager.
   ConditionManager(sync::Mutex &MonitorLock, ExprArena &Arena,
                    SymbolTable &Syms, const Env &SharedEnv,
@@ -204,36 +205,36 @@ public:
   ConditionManager(const ConditionManager &) = delete;
   ConditionManager &operator=(const ConditionManager &) = delete;
 
-  /// Blocks the calling thread until \p Pred (which may mention local
-  /// variables bound in \p Locals) holds. Implements the paper's Fig. 6:
-  /// check, globalize, register, then relay-and-wait until true. This is
-  /// the uncached path; steady-state waits go through awaitGround /
-  /// awaitBound below.
+  /// Blocks the calling thread until the wait bound by \p Plan and its
+  /// slot values \p Bound holds — the one waituntil pipeline, paper
+  /// Fig. 6's register-then-relay-and-wait. The caller has already run the
+  /// check (Plan.code() over the shared slots and \p Bound is false).
+  /// Registration depends on the plan:
   ///
-  /// Monitor lock must be held; it is released while blocked and re-held on
-  /// return. Fatal error if the predicate is canonically unsatisfiable
-  /// (the wait could never finish — timed waits included: a deadline bounds
-  /// waiting for a *possible* condition, it does not legalize an impossible
-  /// one).
+  ///  * Ground: the plan's canonical form, found in the predicate table.
+  ///  * Slotted: the binding resolves to a signature; known signatures map
+  ///    straight to their record — zero interning, zero allocation — and
+  ///    unknown ones are reconstructed and unified through the canonical
+  ///    predicate table.
+  ///  * Globalized, or a Slotted binding whose keys overflow int64: the
+  ///    shape with \p Bound substituted (WaitPlan::globalize, §4.1) is
+  ///    canonicalized and registered.
+  ///
+  /// The Broadcast policy registers nothing: it blocks on its single
+  /// condition and re-runs Plan.code() on every wakeup.
+  ///
+  /// Monitor lock must be held; it is released while blocked and re-held
+  /// on return. Fatal error if the predicate is canonically unsatisfiable
+  /// (the wait could never finish — timed waits included: a deadline
+  /// bounds waiting for a *possible* condition, it does not legalize an
+  /// impossible one).
   ///
   /// With \p TW null this is the classic unbounded wait and always returns
   /// true. With \p TW set, returns true iff the predicate was observed
   /// true, false on deadline expiry or cancellation (predicate-first: see
   /// the file comment).
-  bool await(ExprRef Pred, const Env &Locals, TimedWait *TW = nullptr);
-
-  /// Blocks on a Ground wait plan (shared-only shape, canonicalized at
-  /// plan-build time). The caller has already checked the fast path (the
-  /// predicate is false right now). Lock and TimedWait semantics as
-  /// await().
-  bool awaitGround(const WaitPlan &Plan, TimedWait *TW = nullptr);
-
-  /// Blocks on a resolved plan signature (\p Sig / \p N from
-  /// WaitPlan::resolve, status Resolved). Known signatures map straight to
-  /// their predicate record — zero interning, zero allocation; unknown
-  /// ones are reconstructed and unified through the canonical predicate
-  /// table. Lock and TimedWait semantics as await().
-  bool awaitBound(const SigEntry *Sig, size_t N, TimedWait *TW = nullptr);
+  bool await(const WaitPlan &Plan, const Value *Bound,
+             TimedWait *TW = nullptr);
 
   /// The relay signaling rule; called on monitor exit and before blocking.
   /// With \p Defer null the winning record is signaled immediately (the
@@ -394,7 +395,7 @@ private:
   /// false-stamp when it is still current (DirtySet filter only).
   bool recordTrue(Record *R);
 
-  /// Runs the record's predicate (bytecode or tree walk), no stamping.
+  /// Runs the record's compiled predicate, no stamping.
   bool evalRecord(Record *R) const;
 
   /// Newest version among \p S's variables (the stamp domain).
@@ -413,7 +414,19 @@ private:
   /// hot path touches no shared atomics.
   void flushRelayCounters();
 
-  bool awaitBroadcast(ExprRef Pred, const Env &Locals, TimedWait *TW);
+  bool awaitBroadcast(const WaitPlan &Plan, const Value *Bound, TimedWait *TW);
+
+  /// Canonicalizes ground \p Pred and finds or registers its record; null
+  /// when canonicalization proves it true. Fatal if it proves it false.
+  Record *registerGround(ExprRef Pred);
+
+  /// Registers the globalized binding of \p Plan (the per-wait route).
+  Record *registerGlobalized(const WaitPlan &Plan, const Value *Bound);
+
+  /// The record a resolved plan signature denotes: a bind-table hit, or a
+  /// cold reconstruction that is then remembered as an alias. Null when
+  /// canonicalization proves the binding true.
+  Record *bindSignature(const SigEntry *Sig, size_t N);
 
   sync::Mutex &MonitorLock;
   ExprArena &Arena;

@@ -84,8 +84,8 @@ void Monitor::exit() {
 // waituntil
 //===----------------------------------------------------------------------===//
 
-bool Monitor::waitUntilImpl(ExprRef Pred, const Env &Locals, bool Edsl,
-                            ParseEntry *Entry, const TimedSpec &TS) {
+bool Monitor::waitUntilImpl(ExprRef Pred, const Env &Locals, ParseEntry *Entry,
+                            const TimedSpec &TS) {
   AUTOSYNCH_CHECK(ownedByCaller(), "waitUntil outside the monitor");
   AUTOSYNCH_CHECK(Depth == 1,
                   "waitUntil from a nested monitor region would deadlock");
@@ -98,104 +98,35 @@ bool Monitor::waitUntilImpl(ExprRef Pred, const Env &Locals, bool Edsl,
   // (and unbalance exit()). We checked Depth == 1 above, so restoring to
   // 1 is exact.
   Owner.store(std::thread::id(), std::memory_order_relaxed);
-  bool Satisfied = dispatchWait(Pred, Locals, Edsl, Entry, TS);
+  bool Satisfied = dispatchWait(Pred, Locals, Entry, TS);
   Owner.store(Me, std::memory_order_relaxed);
   Depth = 1;
   return Satisfied;
 }
 
-bool Monitor::awaitLegacy(ExprRef Pred, const Env &Locals,
-                          const TimedSpec &TS) {
-  PlanCounters::global().onLegacyWait();
-  if (!TS.timed())
-    return Mgr.await(Pred, Locals);
-  ConditionManager::TimedWait TW(TS.deadlineNs(), TS.Token);
-  return Mgr.await(Pred, Locals, &TW);
-}
-
-bool Monitor::dispatchWait(ExprRef Pred, const Env &Locals, bool Edsl,
-                           ParseEntry *Entry, const TimedSpec &TS) {
-  if (!Cfg.UsePlanCache)
-    return awaitLegacy(Pred, Locals, TS);
-
-  // Broadcast has no registered predicates, so plans cannot resolve waits
-  // for it — but the allocation-free already-true precheck applies to any
-  // policy. Blocking Broadcast waits fall through to the uncached
-  // pipeline below with wakeup semantics untouched.
-  const bool Broadcast = Cfg.Policy == SignalPolicy::Broadcast;
-
+bool Monitor::dispatchWait(ExprRef Pred, const Env &Locals, ParseEntry *Entry,
+                           const TimedSpec &TS) {
+  // The one waituntil pipeline: plan the shape (once per monitor; cached),
+  // bind this thread's locals, check, then register and wait.
   Value Bound[WaitPlan::MaxSlots];
-  size_t NumBound = 0;
   const WaitPlan *Plan;
-  if (Edsl) {
-    Plan = Plans.forEdsl(Pred, Cfg.Limits, Bound, NumBound);
-  } else if (Entry && Entry->Plan) {
-    Plan = Entry->Plan; // Memoized on the parse-cache entry.
+  if (!Entry) {
+    Plan = Plans.forEdsl(Pred, Cfg.Limits, Bound); // An EDSL predicate.
   } else {
-    Plan = Plans.forShape(Pred, Cfg.Limits);
-    if (Entry)
-      Entry->Plan = Plan;
-  }
-
-  // Shapes beyond the planner (mixed non-linear atoms, slot overflow) and
-  // the canonically-trivial ones run the uncached pipeline: it reproduces
-  // the exact fast-path-then-fatal behavior for trivial predicates, and
-  // it is the reference semantics for everything else.
-  if (!Plan || Plan->kind() == WaitPlan::Kind::Legacy ||
-      Plan->kind() == WaitPlan::Kind::AlwaysTrue ||
-      Plan->kind() == WaitPlan::Kind::Unsatisfiable)
-    return awaitLegacy(Pred, Locals, TS);
-
-  if (Plan->kind() == WaitPlan::Kind::Ground) {
-    if (Plan->code().runRawBool(Slots.data(), nullptr))
-      return true; // Fast path: already true (Fig. 6 checks P first).
-    if (Broadcast)
-      return awaitLegacy(Pred, Locals, TS);
-    if (!TS.timed())
-      return Mgr.awaitGround(*Plan);
-    // Timed waits bind their deadline into the same stack frame the plan
-    // hit uses — a TimerNode slot, no allocation, no extra lookups.
-    ConditionManager::TimedWait TW(TS.deadlineNs(), TS.Token);
-    return Mgr.awaitGround(*Plan, &TW);
-  }
-
-  // Slotted plan: bind this thread's locals, then check-then-wait.
-  if (!Edsl)
+    if (!Entry->Plan) // Memoized on the parse-cache entry.
+      Entry->Plan = Plans.forShape(Pred, Cfg.Limits);
+    Plan = Entry->Plan;
     Plan->bindFromEnv(Locals, Bound);
-  else
-    AUTOSYNCH_CHECK(NumBound == Plan->slots().size(),
-                    "EDSL binding count diverged from the plan");
-  if (Plan->code().runRawBool(Slots.data(), Bound))
-    return true; // Fast path: already true.
-  if (Broadcast)
-    return awaitLegacy(Pred, Locals, TS);
+  }
 
-  SigEntry Sig[WaitPlan::MaxSigEntries];
-  size_t N = 0;
-  switch (Plan->resolve(Bound, Sig, N)) {
-  case WaitPlan::ResolveStatus::Resolved: {
-    if (!TS.timed())
-      return Mgr.awaitBound(Sig, N);
-    ConditionManager::TimedWait TW(TS.deadlineNs(), TS.Token);
-    return Mgr.awaitBound(Sig, N, &TW);
-  }
-  case WaitPlan::ResolveStatus::True:
-    // "True under any shared state" contradicts the fast check above;
-    // resolution and the compiled check derive from the same canonical
-    // form, so this is unreachable.
-    AUTOSYNCH_CHECK(false, "plan resolution diverged from evaluation");
-    return true;
-  case WaitPlan::ResolveStatus::False:
-    AUTOSYNCH_CHECK(false,
-                    "waituntil on an unsatisfiable predicate would never "
-                    "return");
-    return false;
-  case WaitPlan::ResolveStatus::Overflow:
-    // Key arithmetic left int64; the uncached pipeline (whose own
-    // overflow handling degrades to an untagged opaque atom) is exact.
-    return awaitLegacy(Pred, Locals, TS);
-  }
-  AUTOSYNCH_UNREACHABLE("invalid ResolveStatus");
+  if (Plan->code().runRawBool(Slots.data(), Bound))
+    return true; // Fast path: already true (Fig. 6 checks P first).
+  if (!TS.timed())
+    return Mgr.await(*Plan, Bound);
+  // Timed waits bind their deadline into the same stack frame the plan
+  // hit uses — a TimerNode slot, no allocation, no extra lookups.
+  ConditionManager::TimedWait TW(TS.deadlineNs(), TS.Token);
+  return Mgr.await(*Plan, Bound, &TW);
 }
 
 void Monitor::waitUntil(const ExprHandle &P) {
@@ -203,19 +134,17 @@ void Monitor::waitUntil(const ExprHandle &P) {
                   "predicate built against a different monitor");
   AUTOSYNCH_CHECK(P.type() == TypeKind::Bool,
                   "waitUntil requires a bool predicate");
-  waitUntilImpl(P.ref(), EmptyEnv::instance(), /*Edsl=*/true, nullptr,
-                TimedSpec());
+  waitUntilImpl(P.ref(), EmptyEnv::instance(), nullptr, TimedSpec());
 }
 
 void Monitor::waitUntil(std::string_view Pred) {
   ParseEntry &E = parseCached(Pred);
-  waitUntilImpl(E.Expr, EmptyEnv::instance(), /*Edsl=*/false, &E,
-                TimedSpec());
+  waitUntilImpl(E.Expr, EmptyEnv::instance(), &E, TimedSpec());
 }
 
 void Monitor::waitUntil(std::string_view Pred, const MapEnv &Locals) {
   ParseEntry &E = parseCached(Pred);
-  waitUntilImpl(E.Expr, Locals, /*Edsl=*/false, &E, TimedSpec());
+  waitUntilImpl(E.Expr, Locals, &E, TimedSpec());
 }
 
 //===----------------------------------------------------------------------===//
@@ -251,15 +180,15 @@ bool Monitor::waitUntilFor(const ExprHandle &P,
                   "predicate built against a different monitor");
   AUTOSYNCH_CHECK(P.type() == TypeKind::Bool,
                   "waitUntilFor requires a bool predicate");
-  return waitUntilImpl(P.ref(), EmptyEnv::instance(), /*Edsl=*/true,
-                       nullptr, specFor(Timeout, Token));
+  return waitUntilImpl(P.ref(), EmptyEnv::instance(), nullptr,
+                       specFor(Timeout, Token));
 }
 
 bool Monitor::waitUntilFor(std::string_view Pred,
                            std::chrono::nanoseconds Timeout,
                            time::CancelToken *Token) {
   ParseEntry &E = parseCached(Pred);
-  return waitUntilImpl(E.Expr, EmptyEnv::instance(), /*Edsl=*/false, &E,
+  return waitUntilImpl(E.Expr, EmptyEnv::instance(), &E,
                        specFor(Timeout, Token));
 }
 
@@ -267,8 +196,7 @@ bool Monitor::waitUntilFor(std::string_view Pred, const MapEnv &Locals,
                            std::chrono::nanoseconds Timeout,
                            time::CancelToken *Token) {
   ParseEntry &E = parseCached(Pred);
-  return waitUntilImpl(E.Expr, Locals, /*Edsl=*/false, &E,
-                       specFor(Timeout, Token));
+  return waitUntilImpl(E.Expr, Locals, &E, specFor(Timeout, Token));
 }
 
 bool Monitor::waitUntilBy(const ExprHandle &P, time::Deadline D,
@@ -277,22 +205,20 @@ bool Monitor::waitUntilBy(const ExprHandle &P, time::Deadline D,
                   "predicate built against a different monitor");
   AUTOSYNCH_CHECK(P.type() == TypeKind::Bool,
                   "waitUntilBy requires a bool predicate");
-  return waitUntilImpl(P.ref(), EmptyEnv::instance(), /*Edsl=*/true,
-                       nullptr, specBy(D, Token));
+  return waitUntilImpl(P.ref(), EmptyEnv::instance(), nullptr,
+                       specBy(D, Token));
 }
 
 bool Monitor::waitUntilBy(std::string_view Pred, time::Deadline D,
                           time::CancelToken *Token) {
   ParseEntry &E = parseCached(Pred);
-  return waitUntilImpl(E.Expr, EmptyEnv::instance(), /*Edsl=*/false, &E,
-                       specBy(D, Token));
+  return waitUntilImpl(E.Expr, EmptyEnv::instance(), &E, specBy(D, Token));
 }
 
 bool Monitor::waitUntilBy(std::string_view Pred, const MapEnv &Locals,
                           time::Deadline D, time::CancelToken *Token) {
   ParseEntry &E = parseCached(Pred);
-  return waitUntilImpl(E.Expr, Locals, /*Edsl=*/false, &E,
-                       specBy(D, Token));
+  return waitUntilImpl(E.Expr, Locals, &E, specBy(D, Token));
 }
 
 Monitor::ParseEntry &Monitor::parseCached(std::string_view Pred) {

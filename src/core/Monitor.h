@@ -306,13 +306,12 @@ private:
 
   ParseEntry &parseCached(std::string_view Pred);
 
-  bool waitUntilImpl(ExprRef Pred, const Env &Locals, bool Edsl,
-                     ParseEntry *Entry, const TimedSpec &TS);
-  bool dispatchWait(ExprRef Pred, const Env &Locals, bool Edsl,
-                    ParseEntry *Entry, const TimedSpec &TS);
-  /// Tail of dispatchWait: runs the uncached pipeline with the spec's
-  /// bound materialized.
-  bool awaitLegacy(ExprRef Pred, const Env &Locals, const TimedSpec &TS);
+  /// \p Entry is the parse-cache entry of a parsed predicate, null for an
+  /// EDSL one.
+  bool waitUntilImpl(ExprRef Pred, const Env &Locals, ParseEntry *Entry,
+                     const TimedSpec &TS);
+  bool dispatchWait(ExprRef Pred, const Env &Locals, ParseEntry *Entry,
+                    const TimedSpec &TS);
 
   /// Heterogeneous string hashing so the parse-cache hit path looks up by
   /// string_view without materializing a std::string key.

@@ -17,6 +17,11 @@
 ///                 exit/block; each woken thread re-evaluates its own
 ///                 predicate.
 ///
+/// Every policy runs the same waituntil pipeline — plan the predicate's
+/// shape, bind the locals, run the compiled check, then
+/// ConditionManager::await — and there is no switch to take another: the
+/// policy only decides how a blocked waiter is registered and woken.
+///
 /// The explicit-signal mechanism has no automatic monitor; its problem
 /// implementations are hand-written in src/problems/ like the paper's Java.
 ///
@@ -68,22 +73,6 @@ struct MonitorConfig {
   /// Record per-phase CPU time (lock / await / relaySignal / tag manager)
   /// for the Table 1 experiment. Off by default: two clock reads per phase.
   bool EnablePhaseTimers = false;
-
-  /// Evaluate registered predicates with compiled bytecode instead of the
-  /// tree walker. On by default: slot programs read the monitor state as a
-  /// flat array (no virtual Env dispatch). Turn off for the tree-walk
-  /// ablation — together with UsePlanCache, whose fast-path check always
-  /// runs the plan's compiled program regardless of this flag.
-  bool UseCompiledEval = true;
-
-  /// Serve waituntil through the per-shape WaitPlan cache (src/plan/):
-  /// steady-state waits bind local values into a cached, pre-canonicalized
-  /// plan instead of re-running globalization -> canonicalization -> tag
-  /// derivation. Turn off for the uncached-pipeline ablation. Under the
-  /// Broadcast policy only the allocation-free already-true precheck runs
-  /// off the plan (it registers no predicates to resolve against); its
-  /// blocking waits and wakeup semantics are unchanged.
-  bool UsePlanCache = true;
 
   /// Registered predicates with no waiters are parked in an inactive cache
   /// for reuse (§5.2) instead of being destroyed; the oldest entries are

@@ -111,9 +111,9 @@ private:
   size_t Count = 0;
 };
 
-/// Overlays two environments: looks in First, then in Second. Used by the
-/// Broadcast (baseline) policy where a waiter evaluates its own complex
-/// predicate over shared + local bindings.
+/// Overlays two environments: looks in First, then in Second. Evaluates a
+/// complex predicate over local + shared bindings (e.g. the tests'
+/// tree-walk reference for a returned wait).
 class OverlayEnv final : public Env {
 public:
   OverlayEnv(const Env &First, const Env &Second)

@@ -6,10 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Reference (tree-walking) evaluator for predicate expressions. The
-/// condition manager calls this on behalf of waiting threads (the point of
-/// globalization, §4.1). A bytecode evaluator with identical semantics lives
-/// in expr/Bytecode.h.
+/// Reference (tree-walking) evaluator for predicate expressions: the
+/// semantics the tests check waits against. At run time predicates run as
+/// bytecode with identical semantics (expr/Bytecode.h); the tag index's
+/// shared-expression evaluation is the library's one runtime caller.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -60,8 +60,8 @@ const WaitPlan *PlanCache::lookupOrBuild(ExprRef Shape,
     Registry.publish(std::move(Key), *P, Syms, Limits);
   }
   AUTOSYNCH_CHECK(P->shape() == Shape, "imported plan is for another shape");
-  if (P->kind() == WaitPlan::Kind::Legacy)
-    ++Stats.LegacyShapes;
+  if (P->kind() == WaitPlan::Kind::Globalized)
+    ++Stats.GlobalizedShapes;
   return Plans.emplace(Shape, std::move(P)).first->second.get();
 }
 
@@ -87,28 +87,26 @@ struct SkeletonWalk {
 } // namespace
 
 const WaitPlan *PlanCache::forEdsl(ExprRef P, const DnfLimits &Limits,
-                                   Value *BoundOut, size_t &NumBound) {
+                                   Value *BoundOut) {
   ++Stats.EdslSkeletons;
   SkeletonWalk W{*this, Arena, BoundOut};
   ExprRef Shape = W.walk(P, /*AbstractLits=*/true);
 
   if (!W.Overflow) {
     const WaitPlan *Plan = lookupOrBuild(Shape, Limits);
-    if (Plan->kind() != WaitPlan::Kind::Legacy) {
+    if (Plan->kind() != WaitPlan::Kind::Globalized) {
       AUTOSYNCH_CHECK(Plan->slots().size() == W.NumBound,
-                      "EDSL slot count diverged from the cached shape");
-      NumBound = W.NumBound;
+                      "waitUntil: EDSL predicate mentions a local variable");
       return Plan;
     }
   }
 
-  // No abstractable literals, too many of them, or a shape the planner
-  // cannot parameterize: plan the concrete predicate itself. EDSL
-  // expressions mention only shared variables and literals, so this is a
-  // Ground (or Legacy, for e.g. unbounded DNF) plan over P.
-  NumBound = 0;
-  if (isComplex(P, Syms))
-    return nullptr; // Locals smuggled into an EDSL tree: uncached path.
+  // Too many literals to abstract, or a shape the planner cannot
+  // parameterize: plan the concrete predicate itself. EDSL expressions
+  // mention only shared variables and literals, so this is a Ground plan
+  // over P (one per distinct predicate, like a parsed shared predicate).
+  AUTOSYNCH_CHECK(!isComplex(P, Syms),
+                  "waitUntil: EDSL predicate mentions a local variable");
   return lookupOrBuild(P, Limits);
 }
 

@@ -18,6 +18,11 @@
 ///    they are how shapes like `X * 2 >= 96` still canonicalize onto the
 ///    same record as `X >= 48`.
 ///
+/// Every waituntil, under every signal policy, gets its plan here: there is
+/// no uncached path. Shapes the planner's templates cannot parameterize
+/// are cached as Kind::Globalized plans (PlanCacheStats::GlobalizedShapes)
+/// and bind per wait through WaitPlan::globalize.
+///
 /// The cache is append-only like the parse cache: distinct shapes are
 /// bounded by distinct waituntil call sites, not by data.
 ///
@@ -51,7 +56,7 @@ struct PlanCacheStats {
   uint64_t ShapeBuilds = 0;   ///< Cache misses (built or imported plans).
   uint64_t ShapeHits = 0;     ///< Lookups served by a cached plan.
   uint64_t EdslSkeletons = 0; ///< EDSL predicates abstracted into shapes.
-  uint64_t LegacyShapes = 0;  ///< Shapes the planner handed back as Legacy.
+  uint64_t GlobalizedShapes = 0; ///< Shapes planned as Kind::Globalized.
   uint64_t ShapeImports = 0;  ///< Misses served by a registry blueprint.
 };
 
@@ -61,7 +66,10 @@ struct PlanCountersSnapshot {
   uint64_t ShapeHits = 0;
   uint64_t BindHits = 0;   ///< Signature lookups served by the bind table.
   uint64_t ColdBinds = 0;  ///< Signatures resolved through the cold path.
-  uint64_t LegacyWaits = 0;///< waituntil calls on the uncached path.
+  /// Waits bound by per-wait globalization (a Globalized plan, or a
+  /// binding whose keys overflowed) instead of a plan signature. The name
+  /// predates the single wait pipeline; readers of the counter depend on it.
+  uint64_t LegacyWaits = 0;
   uint64_t ShapeImports = 0;///< ShapeBuilds served by a registry blueprint.
 
   PlanCountersSnapshot operator-(const PlanCountersSnapshot &R) const {
@@ -117,11 +125,12 @@ public:
 
   /// Plan for an EDSL predicate: abstracts literals into slot variables
   /// and writes their values to \p BoundOut (size >= WaitPlan::MaxSlots)
-  /// in slot order. EDSL shapes that the planner cannot parameterize fall
-  /// back to a Ground plan over \p P itself (EDSL predicates are
-  /// shared-and-literal only, so that is always possible).
-  const WaitPlan *forEdsl(ExprRef P, const DnfLimits &Limits,
-                          Value *BoundOut, size_t &NumBound);
+  /// in slot order, one per slot of the returned plan. EDSL shapes that
+  /// the planner cannot parameterize (or with more than MaxSlots literals)
+  /// fall back to a Ground plan over \p P itself, which EDSL predicates —
+  /// shared variables and literals only — always allow. Fatal error if
+  /// \p P mentions a local variable.
+  const WaitPlan *forEdsl(ExprRef P, const DnfLimits &Limits, Value *BoundOut);
 
   const PlanCacheStats &stats() const { return Stats; }
   void resetStats() { Stats = PlanCacheStats(); }

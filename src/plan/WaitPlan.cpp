@@ -175,20 +175,16 @@ int WaitPlan::slotIndex(VarId Var) const {
   return -1;
 }
 
-bool WaitPlan::collectSlots(const SymbolTable &Syms) {
+void WaitPlan::collectSlots(const SymbolTable &Syms) {
   // First-occurrence pre-order over the shape; this is the binding order
   // the EDSL skeletonizer emits values in.
-  bool Ok = true;
   auto Walk = [&](auto &&Self, ExprRef E) -> void {
-    if (!Ok)
-      return;
     if (E->kind() == ExprKind::Var) {
       VarId V = E->varId();
       if (Syms.isLocal(V) && slotIndex(V) < 0) {
-        if (Slots.size() == MaxSlots) {
-          Ok = false;
-          return;
-        }
+        AUTOSYNCH_CHECK(Slots.size() < MaxSlots,
+                        "waituntil: predicate has more than 16 distinct "
+                        "local variables");
         Slots.push_back({V, Syms.info(V).Type});
       }
       return;
@@ -197,7 +193,6 @@ bool WaitPlan::collectSlots(const SymbolTable &Syms) {
       Self(Self, E->operand(I));
   };
   Walk(Walk, Shape);
-  return Ok;
 }
 
 bool WaitPlan::lowerConjunction(ExprArena &Arena, const SymbolTable &Syms,
@@ -345,61 +340,54 @@ std::unique_ptr<WaitPlan> WaitPlan::build(ExprArena &Arena,
                                           ExprRef Shape, DnfLimits Limits) {
   AUTOSYNCH_CHECK(Shape->type() == TypeKind::Bool,
                   "wait plans require a bool-typed shape");
+  static_assert(MaxSlots == 16, "collectSlots' message names the cap");
   std::unique_ptr<WaitPlan> P(new WaitPlan());
   P->Shape = Shape;
-  P->K = Kind::Legacy;
-
-  if (!P->collectSlots(Syms))
-    return P;
+  P->collectSlots(Syms);
 
   // Canonicalize the shape with its locals symbolic. For a shape with no
   // locals this IS the ground canonical form.
   P->CP = canonicalizePredicate(Arena, Shape, Limits);
-
-  if (P->CP.D.isTrue()) {
-    P->K = Kind::AlwaysTrue;
-    return P;
-  }
-  if (P->CP.D.isFalse()) {
-    P->K = Kind::Unsatisfiable;
-    return P;
-  }
-
-  auto Resolver = [&Syms, Raw = P.get()](VarId V) -> ResolvedVar {
-    if (Syms.isShared(V))
-      return {ResolvedVar::Kind::Shared, V};
-    int I = Raw->slotIndex(V);
-    AUTOSYNCH_CHECK(I >= 0, "plan expression var is not shared or a slot");
-    return {ResolvedVar::Kind::Local, static_cast<uint32_t>(I)};
-  };
-
   P->ReadSet = sharedReadSet(P->CP.Expr, Syms);
+  P->Code = CompiledPredicate::compile(
+      P->CP.Expr, [&Syms, Raw = P.get()](VarId V) -> ResolvedVar {
+        if (Syms.isShared(V))
+          return {ResolvedVar::Kind::Shared, V};
+        int I = Raw->slotIndex(V);
+        AUTOSYNCH_CHECK(I >= 0, "plan expression var is not shared or a slot");
+        return {ResolvedVar::Kind::Local, static_cast<uint32_t>(I)};
+      });
 
-  if (P->Slots.empty()) {
+  if (P->CP.D.isTrue())
+    P->K = Kind::AlwaysTrue;
+  else if (P->CP.D.isFalse())
+    P->K = Kind::Unsatisfiable;
+  else if (P->Slots.empty())
     P->K = Kind::Ground;
-    P->Code = CompiledPredicate::compile(P->CP.Expr, Resolver);
-    return P;
-  }
+  else if (P->lowerTemplates(Arena, Syms))
+    P->K = Kind::Slotted;
+  else
+    P->K = Kind::Globalized;
+  return P;
+}
 
-  if (P->CP.D.Conjs.size() > MaxConjs)
-    return P; // Legacy: signature buffers are fixed-size.
-
+bool WaitPlan::lowerTemplates(ExprArena &Arena, const SymbolTable &Syms) {
+  // The signature buffers resolve() works in are fixed-size.
+  if (CP.D.Conjs.size() > MaxConjs)
+    return false;
   size_t TotalEntries = 0;
-  for (const Conjunction &C : P->CP.D.Conjs) {
-    if (!P->lowerConjunction(Arena, Syms, C)) {
-      P->Conjs.clear();
-      return P; // Legacy.
+  for (const Conjunction &C : CP.D.Conjs) {
+    if (!lowerConjunction(Arena, Syms, C)) {
+      Conjs.clear();
+      return false;
     }
     TotalEntries += C.Atoms.size() + 1;
   }
   if (TotalEntries > MaxSigEntries) {
-    P->Conjs.clear();
-    return P; // Legacy.
+    Conjs.clear();
+    return false;
   }
-
-  P->K = Kind::Slotted;
-  P->Code = CompiledPredicate::compile(P->CP.Expr, Resolver);
-  return P;
+  return true;
 }
 
 std::unique_ptr<WaitPlan> WaitPlan::relocate(ExprArena &To) const {
@@ -424,6 +412,13 @@ std::unique_ptr<WaitPlan> WaitPlan::relocate(ExprArena &To) const {
 //===----------------------------------------------------------------------===//
 // Binding and signature resolution
 //===----------------------------------------------------------------------===//
+
+ExprRef WaitPlan::globalize(ExprArena &Arena, const Value *Bound) const {
+  MapEnv Locals;
+  for (size_t I = 0; I != Slots.size(); ++I)
+    Locals.bind(Slots[I].Var, Bound[I]);
+  return substitute(Arena, Shape, Locals);
+}
 
 void WaitPlan::bindFromEnv(const Env &Locals, Value *Out) const {
   for (size_t I = 0; I != Slots.size(); ++I) {

@@ -33,11 +33,19 @@
 /// Exactness is never load-bearing: a signature the manager has not seen
 /// is reconstructed into an expression and re-canonicalized through the
 /// ordinary dnf/ pipeline, unifying with records registered by any other
-/// route (eager registration, the uncached path, other shapes). The bind
-/// path only ever prunes conjunctions it can prove false (guard failure,
-/// divisibility, interval contradiction — the same rules the ground
-/// canonicalizer applies after substitution), so plans are semantically
-/// transparent.
+/// route (eager registration, per-wait globalization, other shapes). The
+/// bind path only ever prunes conjunctions it can prove false (guard
+/// failure, divisibility, interval contradiction — the same rules the
+/// ground canonicalizer applies after substitution), so plans are
+/// semantically transparent.
+///
+/// The planner is total: every shape gets a slot list, a canonical form
+/// and a compiled check. Shapes it cannot parameterize (a non-linear atom
+/// mixing shared and local variables, more conjunctions or signature
+/// entries than the fixed buffers hold) come back as Kind::Globalized:
+/// each blocking wait on them substitutes its bound values into the shape
+/// (globalize(), paper §4.1) and canonicalizes the result. A parsed
+/// predicate with more than MaxSlots distinct locals is a fatal error.
 ///
 /// A plan is per monitor: its expressions are interned in the monitor's
 /// arena, so pointer comparisons (signature entries, canonical-table
@@ -94,9 +102,9 @@ public:
   enum class Kind : uint8_t {
     Ground,        ///< No slots: canonicalized outright at build time.
     Slotted,       ///< Parameterized over local-value slots.
-    Legacy,        ///< Shape the planner cannot parameterize (e.g. a
+    Globalized,    ///< Shape the planner cannot parameterize (e.g. a
                    ///< non-linear atom mixing shared and local variables);
-                   ///< callers use the uncached waituntil path.
+                   ///< each blocking wait registers globalize()'s result.
     AlwaysTrue,    ///< Canonically true for every binding.
     Unsatisfiable  ///< Canonically false for every binding.
   };
@@ -107,9 +115,10 @@ public:
     TypeKind Type = TypeKind::Int;
   };
 
-  /// Shapes with more slots, conjunctions, or atoms fall back to the
-  /// uncached path; the caps size the fixed buffers resolve() works in
-  /// (build() enforces them, so resolution never overflows).
+  /// More slots than MaxSlots is a fatal error; shapes with more
+  /// conjunctions or atoms are planned as Kind::Globalized. The caps size
+  /// the fixed buffers resolve() works in (build() enforces them, so
+  /// resolution never overflows).
   static constexpr size_t MaxSlots = 16;
   static constexpr size_t MaxConjs = 24;
   static constexpr size_t MaxSigEntries = 96;
@@ -120,12 +129,13 @@ public:
     True,     ///< Predicate is true for this binding under any state.
     False,    ///< Predicate is false for this binding under any state
               ///< (an unsatisfiable wait — fatal at the call site).
-    Overflow  ///< Key arithmetic overflowed int64; use the uncached path.
+    Overflow  ///< Key arithmetic overflowed int64; register globalize().
   };
 
   /// Builds the plan for \p Shape (bool-typed; locals symbolic). Always
-  /// returns a plan; shapes beyond the planner's reach come back as
-  /// Kind::Legacy.
+  /// returns a plan with its slots, canonical form and code(); shapes
+  /// beyond the planner's templates come back as Kind::Globalized. Fatal
+  /// error when \p Shape has more than MaxSlots distinct locals.
   static std::unique_ptr<WaitPlan> build(ExprArena &Arena,
                                          const SymbolTable &Syms,
                                          ExprRef Shape, DnfLimits Limits);
@@ -134,8 +144,8 @@ public:
   ExprRef shape() const { return Shape; }
   const std::vector<Slot> &slots() const { return Slots; }
 
-  /// The symbolic canonical predicate (Ground and Slotted plans). For
-  /// Ground plans this is the finished ground canonical form.
+  /// The symbolic canonical predicate. For Ground plans this is the
+  /// finished ground canonical form.
   const CanonicalPredicate &canonical() const { return CP; }
 
   /// Slot program evaluating the canonical predicate over (shared slots,
@@ -143,10 +153,10 @@ public:
   const CompiledPredicate &code() const { return Code; }
 
   /// The shared variables the canonical shape reads, computed once at
-  /// build time (meaningful for Ground and Slotted plans). Every ground
-  /// predicate a binding of this plan registers reads a subset of these
-  /// variables, so the dirty-set relay's per-record read sets agree with
-  /// the plan-level one regardless of front end.
+  /// build time. Every ground predicate a binding of this plan registers
+  /// reads a subset of these variables, so the dirty-set relay's
+  /// per-record read sets agree with the plan-level one regardless of
+  /// front end.
   const VarSet &readSet() const { return ReadSet; }
 
   /// Binds local values out of \p Locals into \p Out (size >= MaxSlots) in
@@ -157,6 +167,11 @@ public:
   /// MaxSigEntries entries; \p N receives the entry count (including the
   /// per-conjunction separators).
   ResolveStatus resolve(const Value *Bound, SigEntry *Buf, size_t &N) const;
+
+  /// The shape with every slot replaced by its bound value (paper §4.1):
+  /// the ground predicate a Globalized plan, or a binding whose keys
+  /// overflowed, registers after canonicalization.
+  ExprRef globalize(ExprArena &Arena, const Value *Bound) const;
 
   /// Rebuilds the ground DNF a signature denotes (cold path: the result is
   /// re-canonicalized by the caller to unify with the predicate table).
@@ -199,17 +214,21 @@ private:
     std::vector<AtomTemplate> Atoms;
   };
 
-  /// Builds the slot list from \p Shape; false when over MaxSlots.
-  bool collectSlots(const SymbolTable &Syms);
+  /// Builds the slot list from \p Shape; fatal when over MaxSlots.
+  void collectSlots(const SymbolTable &Syms);
 
-  /// Lowers one canonical conjunction into templates; false -> Legacy.
+  /// Lowers the canonical form into per-conjunction templates; false when
+  /// the shape is beyond them (the plan is then Globalized).
+  bool lowerTemplates(ExprArena &Arena, const SymbolTable &Syms);
+
+  /// Lowers one canonical conjunction into templates; false -> Globalized.
   bool lowerConjunction(ExprArena &Arena, const SymbolTable &Syms,
                        const Conjunction &C);
 
   /// Slot index of \p Var, or -1.
   int slotIndex(VarId Var) const;
 
-  Kind K = Kind::Legacy;
+  Kind K = Kind::Globalized;
   ExprRef Shape = nullptr;
   CanonicalPredicate CP;
   VarSet ReadSet;

@@ -101,7 +101,7 @@ struct ScenarioReport {
   sync::CountersSnapshot Sync;
   /// Wait-plan cache deltas over the run (process-wide): how the
   /// monitors' waituntil calls were served (bind-table hits vs. cold
-  /// resolutions vs. the uncached pipeline).
+  /// resolutions vs. per-wait globalization, counted as LegacyWaits).
   PlanCountersSnapshot Plan;
   /// Dirty-set relay deltas over the run (process-wide): skipped relays,
   /// read-set-filtered index entries, stamp short-circuits.

@@ -120,7 +120,6 @@ TEST(ConditionManagerTest, CompiledEvalBehavesIdentically) {
   // advancing past T concurrently is allowed to strand it (the paper's
   // semantics), so each round advances exactly once and joins.
   MonitorConfig Cfg;
-  Cfg.UseCompiledEval = true;
   TurnMonitor M(Cfg);
   for (int64_t T = 1; T <= 8; ++T) {
     std::thread W([&M, T] { M.awaitTurn(T); });

@@ -270,9 +270,8 @@ TEST(ReadSetTest, EdslAndParsedFrontsAgree) {
     const WaitPlan *edslPlan() {
       Region R(*this);
       Value Bound[WaitPlan::MaxSlots];
-      size_t NumBound = 0;
       return planCache().forEdsl((Count + lit(3) <= Cap).ref(),
-                                 config().Limits, Bound, NumBound);
+                                 config().Limits, Bound);
     }
 
     const WaitPlan *parsedPlan() {

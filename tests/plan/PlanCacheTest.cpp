@@ -10,12 +10,14 @@
 // values (both front ends), allocation-freedom of the steady-state bind
 // path, unification with records registered through other routes, the
 // interaction with the inactive cache's eviction limit, and a differential
-// run against the uncached pipeline.
+// run checking every returned wait against the tree-walk evaluator.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 #include "core/Monitor.h"
+#include "expr/Eval.h"
+#include "parse/PredicateParser.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -41,14 +43,24 @@ public:
 
   void withdrawEdsl(int64_t N) {
     Region R(*this);
-    waitUntil(Level >= N);
+    ExprHandle P = Level >= N;
+    waitUntil(P);
+    checkReference(P.ref(), EmptyEnv::instance());
     Level -= N;
   }
 
   void withdrawParsed(int64_t N) {
     Region R(*this);
-    waitUntil("level >= n", locals().bindInt(local("n"), N));
+    MapEnv L = locals().bindInt(local("n"), N);
+    waitUntil("level >= n", L);
+    checkReference(Parsed, L);
     Level -= N;
+  }
+
+  /// Returned waits whose predicate the tree-walk evaluator found false.
+  int referenceMisses() {
+    Region R(*this);
+    return ReferenceMisses;
   }
 
   int64_t level() {
@@ -63,7 +75,24 @@ public:
   using Monitor::arena;
 
 private:
+  /// The reference semantics (expr/Eval) over the state the wait returned
+  /// in; the plan's compiled check must have agreed with it.
+  void checkReference(ExprRef Pred, const Env &Locals) {
+    MapEnv Shared;
+    Shared.bindInt(Level.id(), Level.get());
+    if (!evalBool(Pred, OverlayEnv(Locals, Shared)))
+      ++ReferenceMisses;
+  }
+
   Shared<int64_t> Level{*this, "level", 0};
+  ExprRef Parsed = parseForReference("level >= n");
+  int ReferenceMisses = 0;
+
+  ExprRef parseForReference(std::string_view Pred) {
+    PredicateParseOptions Options;
+    Options.AutoDeclareLocals = true;
+    return parsePredicate(Pred, arena(), symbols(), Options).Expr;
+  }
 };
 
 /// Runs one blocked-then-released withdraw so the wait registers.
@@ -272,17 +301,20 @@ TEST(PlanCacheTest, GuardedDisjunctionTakesTrueBranchImmediately) {
 }
 
 TEST(PlanCacheTest, DifferentialAgainstUncachedPipeline) {
-  // The same seeded workload, planned and unplanned: identical
-  // conservation result and a full drain under both configurations and
-  // both front ends.
+  // The same seeded workload under every policy and both front ends:
+  // conservation, a full drain, and every returned wait true under the
+  // tree-walk evaluator (expr/Eval), the reference semantics the uncached
+  // pipeline used to run.
   AUTOSYNCH_SEEDED_RNG(Rng, 0x91a2c3ull);
   std::vector<int64_t> Demands;
   for (int I = 0; I != 200; ++I)
     Demands.push_back(Rng.range(1, 5));
 
-  for (bool UsePlans : {true, false}) {
+  for (SignalPolicy Policy : {SignalPolicy::Tagged, SignalPolicy::LinearScan,
+                              SignalPolicy::Broadcast}) {
+    SCOPED_TRACE(signalPolicyName(Policy));
     MonitorConfig Cfg;
-    Cfg.UsePlanCache = UsePlans;
+    Cfg.Policy = Policy;
     PoolMonitor M(Cfg);
     constexpr int Threads = 4;
     std::vector<std::thread> Pool;
@@ -300,20 +332,11 @@ TEST(PlanCacheTest, DifferentialAgainstUncachedPipeline) {
     }
     for (auto &T : Pool)
       T.join();
-    EXPECT_EQ(M.level(), 0) << (UsePlans ? "planned" : "uncached");
+    EXPECT_EQ(M.level(), 0);
+    EXPECT_EQ(M.referenceMisses(), 0);
     EXPECT_EQ(M.conditionManager().numWaiters(), 0);
     EXPECT_EQ(M.conditionManager().pendingSignals(), 0);
   }
-}
-
-TEST(PlanCacheTest, UncachedConfigBypassesPlans) {
-  MonitorConfig Cfg;
-  Cfg.UsePlanCache = false;
-  PoolMonitor M(Cfg);
-  blockedWithdraw(M, 2, [&](int64_t V) { M.withdrawParsed(V); });
-  EXPECT_EQ(M.planCache().stats().ShapeBuilds, 0u);
-  EXPECT_EQ(M.conditionManager().stats().PlanColdBinds, 0u);
-  EXPECT_EQ(M.conditionManager().stats().Waits, 1u);
 }
 
 TEST(PlanCacheTest, BroadcastAlreadyTrueWaitsUseThePlanPrecheck) {
@@ -340,13 +363,16 @@ TEST(PlanCacheTest, BroadcastAlreadyTrueWaitsUseThePlanPrecheck) {
 }
 
 TEST(PlanCacheTest, BroadcastBlockingWaitsKeepSignalAllSemantics) {
-  // The precheck must not change how Broadcast blocks or wakes: a
-  // blocking wait still goes through the uncached pipeline and resumes
-  // via signalAll.
+  // Binding the plan must not change how Broadcast blocks or wakes: a
+  // blocking wait re-runs the plan's compiled check on each wakeup,
+  // resumes via signalAll, and registers nothing (no per-wait
+  // globalization either).
   MonitorConfig Cfg;
   Cfg.Policy = SignalPolicy::Broadcast;
   PoolMonitor M(Cfg);
+  PlanCountersSnapshot P0 = PlanCounters::global().snapshot();
   blockedWithdraw(M, 5, [&](int64_t V) { M.withdrawParsed(V); });
+  EXPECT_EQ((PlanCounters::global().snapshot() - P0).LegacyWaits, 0u);
   EXPECT_EQ(M.level(), 0);
   EXPECT_GE(M.conditionManager().stats().BroadcastSignals, 1u);
   EXPECT_EQ(M.conditionManager().stats().SignalsSent, 0u);

@@ -167,7 +167,7 @@ TEST(TimedWaitTest, RepeatTimedWaitsHitThePlanCache) {
   for (int I = 0; I != 4; ++I)
     EXPECT_FALSE(M.awaitAtLeastParsed(50 + I, 10ms));
   // One shape, four bindings: the timed path must ride the bind table
-  // (allocation-free steady state), not the uncached pipeline.
+  // (allocation-free steady state), not per-wait globalization.
   EXPECT_GE(M.stats().PlanBindHits + M.stats().PlanColdBinds, 4u);
   EXPECT_GE(M.stats().Timeouts, 4u);
 }
